@@ -15,7 +15,7 @@ import (
 
 const defaultArtifact = "internal/estimate/calibration/default.json"
 
-// runCalibrate implements `pathfind calibrate`: refit the analytical
+// runCalibrate implements `pathfind calibrate`: rerun the analytical
 // estimator's calibration against the cycle-exact simulator and rewrite the
 // committed artifact — or, with -check, verify that the committed artifact
 // is byte-identical to a fresh refit and that its measured per-figure errors
@@ -51,7 +51,7 @@ func runCalibrate(args []string) int {
 		fmt.Fprintln(os.Stderr, "pathfind calibrate:", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "pathfind calibrate: fitted %d signatures from %d runs\n", len(cal.Signatures), len(obs))
+	fmt.Fprintf(os.Stderr, "pathfind calibrate: captured %d signatures from %d runs\n", len(cal.Signatures), len(obs))
 
 	if *check {
 		committed, err := upim.LoadCalibration(*out)

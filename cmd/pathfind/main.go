@@ -42,7 +42,7 @@
 //	pathfind serve -addr :7070 -store ./pfstore -bench VA,BS -scale tiny
 //	pathfind work -connect http://host:7070 -name w0   # on each machine
 //
-// The `calibrate` subcommand refits the estimator's calibration artifact
+// The `calibrate` subcommand regenerates the estimator's calibration artifact
 // against the cycle-exact simulator and rewrites (or, with -check, verifies)
 // internal/estimate/calibration/default.json.
 //

@@ -15,6 +15,15 @@ import (
 	"upim"
 )
 
+// Server connection limits. A client gets readHeaderTimeout to send its
+// request headers, so a stalled or malicious connection cannot hold a
+// goroutine forever; idle keep-alive connections between a worker's store
+// and lease calls are closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // runServe serves a result store over HTTP — and, when space flags are
 // given, a lease-protocol coordinator over that space — so `pathfind work
 // -connect URL` processes on other machines can drain the exploration.
@@ -84,7 +93,12 @@ func runServe(args []string) int {
 			handle.Points(), *storeDir, *addr)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 

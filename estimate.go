@@ -8,7 +8,7 @@ import (
 
 // Two-tier fidelity — the analytical fast path of the pathfinding
 // methodology. An Estimator predicts a design point's kernel cycles,
-// end-to-end time and energy in microseconds from a fitted
+// end-to-end time and energy in microseconds from a calibrated
 // CalibrationProfile, letting ExploreTiered triage a large design space
 // before cycle-exact simulation validates the survivors. See
 // internal/estimate and the ARCHITECTURE.md "Two-tier fidelity" section.
@@ -18,9 +18,8 @@ import (
 type Estimate = estimate.Estimate
 
 // CalibrationProfile is the versioned parameter set of the analytical
-// estimator: fitted non-negative least-squares weights, the workload
-// signature table, and the committed per-figure relative-error bounds CI
-// re-checks (`make calibration-check`).
+// estimator: the workload signature table and the committed per-figure
+// relative-error bounds CI re-checks (`make calibration-check`).
 type CalibrationProfile = estimate.Calibration
 
 // Estimator predicts performance and energy for design points under one
@@ -35,11 +34,11 @@ type CalibrationObservation = estimate.Observation
 type FitCalibrationOptions = estimate.FitOptions
 
 // DefaultCalibration returns a copy of the committed default calibration
-// (fitted against the tiny-scale reference workloads).
+// (captured from the tiny-scale reference workloads).
 func DefaultCalibration() *CalibrationProfile { return estimate.Default() }
 
 // LoadCalibration reads a calibration artifact from a JSON file. Loading is
-// strict — unknown fields, format mismatches, negative coefficients and
+// strict — unknown fields, format mismatches, negative values and
 // trailing content are all errors — because the artifact is machine-
 // generated (`pathfind calibrate`), not hand-edited.
 func LoadCalibration(path string) (*CalibrationProfile, error) { return estimate.LoadFile(path) }
@@ -59,9 +58,9 @@ func EstimateDesignPoint(est *Estimator, p DesignPoint) (*Estimate, error) {
 	return est.Estimate(p.EP)
 }
 
-// FitCalibration simulates the calibration suite cycle-exactly, fits the
-// estimator weights by non-negative least squares, and derives the
-// per-figure error bounds — producing the artifact committed at
+// FitCalibration simulates the calibration suite cycle-exactly, captures the
+// anchors' workload signatures, and derives the per-figure error bounds
+// from the estimator's measured error — producing the artifact committed at
 // internal/estimate/calibration/default.json. Deterministic: the same
 // simulator and options reproduce the artifact byte-for-byte.
 func FitCalibration(ctx context.Context, opts FitCalibrationOptions) (*CalibrationProfile, []CalibrationObservation, error) {

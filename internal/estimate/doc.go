@@ -9,16 +9,17 @@
 // MRAM/WRAM traffic, DMA bytes, TLP — captured from one cycle-exact anchor
 // run each. Estimating a point transforms the anchor's issue/idle slot
 // buckets analytically across the timing axes (frequency, MRAM-link width,
-// the ILP feature ladder, issue width) and combines them under globally
-// fitted non-negative least-squares weights; energy reuses internal/energy's
+// the ILP feature ladder, issue width) and sums them — at the anchor the
+// buckets sum exactly to the measured cycles (the issue-slot accounting
+// identity), so no weights are fitted; energy reuses internal/energy's
 // linear event model over the signature counters with the predicted cycle
 // count, so the estimator and the simulator price events identically.
 //
 // Calibration is a versioned, committed JSON artifact
 // (calibration/default.json): Fit simulates a tiny-scale calibration suite
-// (anchor ladders plus ILP/link/frequency probes mirroring the paper's
-// figures), fits the weights, and records per-figure relative-error bounds
-// that CI re-checks on every change (`make calibration-check`) — the
+// (anchor ladders plus ILP/link probes mirroring the paper's figures),
+// captures the anchors' signatures, and records per-figure relative-error
+// bounds that CI re-checks on every change (`make calibration-check`) — the
 // estimator's accuracy is itself a regression-tested artifact, following the
 // "cheap analytical triage, detailed simulation validates the survivors"
 // methodology of the PIM design-space-exploration literature.

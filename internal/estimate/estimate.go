@@ -129,9 +129,8 @@ func (e *Estimator) Estimate(p engine.Point) (*Estimate, error) {
 			ErrNoSignature, p.Benchmark, p.Config.Mode, p.Config.NumTasklets, p.Scale, max(p.DPUs, 1))
 	}
 	cfg := p.Config
-	w := e.cal.Weights
-	x := features(sig, cfg, w.CoverIssue)
-	cycles := w.Issue*x.issue + w.Memory*x.mem + w.Revolver*x.rev + w.RegFile*x.rf + w.Fixed*x.launches
+	x := features(sig, cfg)
+	cycles := x.issue + x.mem + x.rev + x.rf
 	// The prediction can never undercut the structural floor: every issue —
 	// scalar instruction, or warp issue under SIMT, where one slot retires a
 	// whole warp's lanes — needs an issue slot.
@@ -159,19 +158,20 @@ func (e *Estimator) Estimate(p engine.Point) (*Estimate, error) {
 	return est, nil
 }
 
-// featureVec is the transformed slot decomposition the weights combine.
+// featureVec is the transformed slot decomposition whose sum is the cycle
+// prediction.
 type featureVec struct {
-	iw                            float64
-	issue, mem, rev, rf, launches float64
+	iw                  float64
+	issue, mem, rev, rf float64
 }
 
 // features transforms the anchor's issue-slot buckets to the target
 // configuration. At the anchor configuration every scale factor is 1 and the
 // four slot features sum exactly to the anchor's cycle count (the issue-slot
-// accounting identity), so unit weights reproduce anchors exactly; probe
-// configurations exercise the analytic scalings the fit weighs. coverIssue
-// is Weights.CoverIssue, the fitted issue-riding share of the latency cover.
-func features(sig *Signature, cfg config.Config, coverIssue float64) featureVec {
+// accounting identity), so their plain sum reproduces anchors exactly and
+// needs no fitted weights; probe configurations exercise the analytic
+// scalings, and their error is what the committed bounds measure.
+func features(sig *Signature, cfg config.Config) featureVec {
 	iw := float64(cfg.IssueWidth)
 	if iw < 1 {
 		iw = 1
@@ -183,9 +183,8 @@ func features(sig *Signature, cfg config.Config, coverIssue float64) featureVec 
 	// 350 MHz reference clock, so in core cycles it scales with frequency
 	// and inversely with link width — and a latency part, the idle the
 	// anchor could not hide, which is absolute time and scales with
-	// frequency. The anchor hid exactly its link occupancy behind issue
-	// work; that cover shrinks (by the fitted coverIssue share) when a wider
-	// issue slot compresses the issue cycles, and what demand exceeds the
+	// frequency. The anchor hid exactly its link occupancy (in anchor
+	// cycles) behind other threads' issue work, and what demand exceeds that
 	// cover is exposed as idle. At the anchor this reduces to IdleMemory
 	// exactly; at 2x frequency exposed idle grows superlinearly (demand
 	// doubles, cover does not), and a wider link collapses it faster than
@@ -195,11 +194,7 @@ func features(sig *Signature, cfg config.Config, coverIssue float64) featureVec 
 		float64(cfg.FreqMHz) / config.LinkReferenceFreqMHz
 	linkAnchor := sig.linkBytes() / float64(sig.LinkBytesPerCycle) *
 		float64(sig.FreqMHz) / config.LinkReferenceFreqMHz
-	cover := linkAnchor
-	if sig.Issued > 0 {
-		cover = linkAnchor * (1 - coverIssue + coverIssue*issue/sig.Issued)
-	}
-	mem := math.Max(linkNow+sig.IdleMemory*fRatio-cover, 0)
+	mem := math.Max(linkNow+sig.IdleMemory*fRatio-linkAnchor, 0)
 
 	// Dependency waits: forwarding replaces the revolver distance with the
 	// producer's forwarding latency, weighted by the signature's instruction
@@ -218,12 +213,11 @@ func features(sig *Signature, cfg config.Config, coverIssue float64) featureVec 
 	// workload's thread-level parallelism allows (the Fig 7 histogram);
 	// waiting cycles are latency, not slots, and do not shrink at all.
 	return featureVec{
-		iw:       iw,
-		issue:    issue,
-		mem:      mem,
-		rev:      sig.IdleRevolver * revScale,
-		rf:       sig.IdleRF * rfScale,
-		launches: sig.Launches,
+		iw:    iw,
+		issue: issue,
+		mem:   mem,
+		rev:   sig.IdleRevolver * revScale,
+		rf:    sig.IdleRF * rfScale,
 	}
 }
 

@@ -51,27 +51,20 @@ func TestDefaultCalibration(t *testing.T) {
 		t.Fatalf("committed calibration is empty: %d bounds, %d signatures", len(cal.Bounds), len(cal.Signatures))
 	}
 	// Default returns a defensive copy: mutating it must not poison later calls.
-	cal.Weights.Issue = -1
+	cal.Bounds[0].MaxRelErr = -1
 	cal.Signatures[0].Benchmark = "tampered"
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("Default() shares state with a mutated copy: %v", err)
 	}
 }
 
-// TestAnchorExactness pins the issue-slot accounting identity: at its own
-// anchor configuration, every committed signature's prediction must land
-// within the committed anchor-figure bound of the measured cycle count.
+// TestAnchorExactness pins the issue-slot accounting identity the estimator
+// rests on: at its own anchor configuration, every committed signature's
+// prediction (the plain sum of its slot features) must equal the measured
+// cycle count up to floating-point rounding.
 func TestAnchorExactness(t *testing.T) {
+	const bound = 1e-12
 	cal := Default()
-	bound := 0.0
-	for _, b := range cal.Bounds {
-		if b.Figure == "fig5" || b.Figure == "fig11" || b.Figure == "fig15" {
-			bound = math.Max(bound, b.MaxRelErr)
-		}
-	}
-	if bound == 0 {
-		t.Fatal("committed calibration has no anchor-figure bounds")
-	}
 	est, err := New(cal, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +77,7 @@ func TestAnchorExactness(t *testing.T) {
 		}
 		rel := math.Abs(e.KernelCycles-sig.Cycles) / sig.Cycles
 		if rel > bound {
-			t.Errorf("%s/%s/t%d: anchor prediction %.1f vs measured %.0f cycles (rel err %.4f > bound %.4f)",
+			t.Errorf("%s/%s/t%d: anchor prediction %.1f vs measured %.0f cycles (rel err %.3g > %.0e)",
 				sig.Benchmark, sig.Mode, sig.Tasklets, e.KernelCycles, sig.Cycles, rel, bound)
 		}
 	}
@@ -139,7 +132,7 @@ func TestEstimateNoSignature(t *testing.T) {
 
 // TestRefitReproducesCommitted is the in-tree mirror of the CI
 // calibration-check gate: a from-scratch refit of the full suite must
-// reproduce the committed artifact byte-for-byte (fit determinism + no
+// reproduce the committed artifact byte-for-byte (determinism + no
 // drift), its measured per-figure errors must stay within the committed
 // bounds, and estimates under the refit must equal estimates under the
 // committed calibration (estimate -> refit -> estimate stability).

@@ -40,10 +40,11 @@ func TestLoadRejects(t *testing.T) {
 		want string
 	}{
 		{"unknown field", mutate(t, `"name": "default"`, `"name": "default", "surprise": 1`), "unknown field"},
-		{"negative weight", mutate(t, `"issue":`, `"issue": -1, "was_issue":`), ""},
-		{"nan via string", mutate(t, `"issue":`, `"issue": "NaN", "was_issue":`), ""},
-		{"cover share above one", mutate(t, `"mem_cover_issue": 0`, `"mem_cover_issue": 1.5`), "outside [0, 1]"},
-		{"stale format", mutate(t, `"format": 1`, `"format": 0`), "declares format"},
+		{"negative weight", mutate(t, `"instructions":`, `"instructions": -1, "was_instructions":`), ""},
+		{"nan via string", mutate(t, `"avg_issuable":`, `"avg_issuable": "NaN", "was_avg_issuable":`), ""},
+		{"stale format", mutate(t, `"format": 2`, `"format": 0`), "declares format"},
+		{"format 1 with weights", mutate(t, `"format": 2,`, `"format": 1, "weights": {"issue": 1, "memory": 1, "revolver": 1, "rf": 1, "fixed": 0, "mem_cover_issue": 0},`),
+			"declares format 1, this estimator expects 2"},
 		{"trailing content", append(committedArtifact(t), []byte("{}\n")...), "trailing content"},
 		{"trailing garbage", append(committedArtifact(t), []byte("not json")...), ""},
 		{"empty name", mutate(t, `"name": "default"`, `"name": ""`), "needs a name"},
@@ -86,8 +87,8 @@ func TestLoadRoundTrip(t *testing.T) {
 func FuzzLoadCalibration(f *testing.F) {
 	f.Add(committedArtifact(f))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"name":"x","format":1}`))
-	f.Add([]byte(`{"name":"x","format":1,"weights":{"issue":1e308}}`))
+	f.Add([]byte(`{"name":"x","format":2}`))
+	f.Add([]byte(`{"name":"x","format":2,"bounds":[{"figure":"fig5","max_rel_err":1e308}]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -195,14 +195,6 @@ type Spec struct {
 	Arena *core.Arena
 }
 
-// Run executes a benchmark under cfg on nDPUs and verifies its output.
-//
-// Deprecated: use RunSpec, which adds cancellation, build caching and a
-// configurable watchdog.
-func Run(name string, cfg config.Config, nDPUs int, scale Scale) (*Result, error) {
-	return RunSpec(context.Background(), Spec{Benchmark: name, Config: cfg, DPUs: nDPUs, Scale: scale})
-}
-
 // RunSpec executes one simulation point and verifies its output against the
 // host golden model. Cancelling ctx aborts in-flight launches with ctx.Err().
 func RunSpec(ctx context.Context, sp Spec) (*Result, error) {

@@ -1,11 +1,11 @@
 // Command bench2json converts `go test -bench -benchmem` output on stdin
-// into a machine-readable JSON report (BENCH_8.json in CI): one record per
+// into a machine-readable JSON report (BENCH_10.json in CI): one record per
 // benchmark carrying ns/op, allocation counters, and every custom metric
 // (the headline figure numbers bench_test.go attaches via b.ReportMetric).
 //
 // Usage:
 //
-//	go test -bench=. -benchmem -run='^$' . | go run ./tools/bench2json -out BENCH_8.json
+//	go test -bench=. -benchmem -run='^$' . | go run ./tools/bench2json -out BENCH_10.json
 //
 // With -baseline it switches to diff mode: instead of a report it prints a
 // per-benchmark delta table (ns/op, B/op, allocs/op and the KIPS throughput
@@ -14,7 +14,7 @@
 // allocation gate:
 //
 //	go test -bench=. -benchmem -run='^$' . |
-//	  go run ./tools/bench2json -baseline BENCH_8.json \
+//	  go run ./tools/bench2json -baseline BENCH_10.json \
 //	    -gate BenchmarkTable1_Config,BenchmarkTable2_Datasets
 //
 // The current run can also be read from an existing JSON report via -in,

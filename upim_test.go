@@ -61,9 +61,11 @@ func TestFacadeBenchmarksList(t *testing.T) {
 }
 
 func TestFacadeRunBenchmark(t *testing.T) {
-	cfg := upim.DefaultConfig()
-	cfg.NumTasklets = 4
-	res, err := upim.RunBenchmark("RED", cfg, 2, upim.ScaleTiny)
+	r, err := upim.NewRunner(upim.WithTasklets(4), upim.WithDPUs(2), upim.WithScale(upim.ScaleTiny))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run(context.Background(), "RED")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,8 @@ func TestFacadeExperiments(t *testing.T) {
 	if len(upim.Experiments()) != 18 {
 		t.Fatalf("expected 18 experiments, got %d", len(upim.Experiments()))
 	}
-	tab, err := upim.RunExperiment("table1", upim.ExperimentOptions{})
+	ctx := context.Background()
+	tab, err := upim.RunExperimentContext(ctx, "table1", upim.ExperimentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestFacadeExperiments(t *testing.T) {
 	if !strings.Contains(sb.String(), "350 MHz") {
 		t.Fatal("Table I missing the DPU frequency")
 	}
-	if _, err := upim.RunExperiment("nope", upim.ExperimentOptions{}); err == nil {
+	if _, err := upim.RunExperimentContext(ctx, "nope", upim.ExperimentOptions{}); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }
