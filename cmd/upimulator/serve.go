@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -71,6 +72,13 @@ func serveMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "upimulator serve:", err)
 		return 2
 	}
+	var ls []float64
+	if *loads != "" {
+		if ls, err = parseLoads(*loads); err != nil {
+			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
+			return 2
+		}
+	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
@@ -95,11 +103,6 @@ func serveMain(args []string) int {
 	}
 	tables := []*upim.ResultTable{res.RequestTable(), res.SummaryTable()}
 	if *loads != "" {
-		ls, err := parseLoads(*loads)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-			return 2
-		}
 		tab, err := upim.ServeLoadSweep(ctx, opts, strings.Split(*policies, ","), ls)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
@@ -157,9 +160,11 @@ func serveMain(args []string) int {
 }
 
 // parseTenants parses the -tenants grammar: semicolon-separated
-// "name=BENCH+BENCH[:weight]".
+// "name=BENCH+BENCH[:weight]". Names must be distinct, and a weight must
+// be a finite positive number.
 func parseTenants(spec string) ([]upim.ServeTenant, error) {
 	var out []upim.ServeTenant
+	seen := map[string]bool{}
 	for _, part := range strings.Split(spec, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -170,11 +175,15 @@ func parseTenants(spec string) ([]upim.ServeTenant, error) {
 		if !ok || name == "" || rest == "" {
 			return nil, fmt.Errorf("tenant %q: want name=BENCH+BENCH[:weight]", part)
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("tenant %q is named twice", name)
+		}
+		seen[name] = true
 		t := upim.ServeTenant{Name: name}
 		if mix, w, ok := strings.Cut(rest, ":"); ok {
-			weight, err := strconv.ParseFloat(w, 64)
-			if err != nil || weight <= 0 {
-				return nil, fmt.Errorf("tenant %q: weight %q is not a positive number", name, w)
+			weight, ok := positive(w)
+			if !ok {
+				return nil, fmt.Errorf("tenant %q: weight %q is not a finite positive number", name, w)
 			}
 			t.Weight = weight
 			rest = mix
@@ -202,9 +211,9 @@ func parseLoads(spec string) ([]float64, error) {
 		if part == "" {
 			continue
 		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("load %q is not a positive number", part)
+		v, ok := positive(part)
+		if !ok {
+			return nil, fmt.Errorf("load %q is not a finite positive number", part)
 		}
 		out = append(out, v)
 	}
@@ -212,4 +221,11 @@ func parseLoads(spec string) ([]float64, error) {
 		return nil, fmt.Errorf("empty load list")
 	}
 	return out, nil
+}
+
+// positive parses a finite number greater than zero. ParseFloat also
+// accepts "NaN" and "Inf", which no weight or load may be.
+func positive(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && v > 0 && !math.IsInf(v, 1)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // tenantSeed derives a per-tenant RNG seed from the run seed and the
@@ -24,36 +23,56 @@ func tenantSeed(seed int64, name string) int64 {
 // Each tenant draws from its own seeded RNG, so streams are independent
 // and the merged order is a pure function of (seed, tenants).
 func poissonRequests(opts Options, tenants []tenant) []Request {
-	var reqs []Request
+	streams := make([][]Request, len(tenants))
 	for ti, t := range tenants {
 		rng := rand.New(rand.NewSource(tenantSeed(opts.Seed, t.Name)))
+		stream := make([]Request, t.Requests)
 		now := 0.0
-		for i := 0; i < t.Requests; i++ {
+		for i := range stream {
 			// Exponential inter-arrival gap at the tenant's rate.
 			now += rng.ExpFloat64() / t.Rate
-			reqs = append(reqs, Request{
+			stream[i] = Request{
 				Tenant:    t.Name,
 				Class:     t.SLOClass,
 				Benchmark: t.Mix[rng.Intn(len(t.Mix))],
 				Arrival:   now,
-				// ID temporarily holds the tenant index for the merge
-				// tie-break; reassigned below.
-				ID: ti,
-			})
+			}
 		}
+		streams[ti] = stream
 	}
 	// Deterministic merge: by arrival time, ties broken by tenant order
-	// (stable within a tenant because each stream is already ordered).
-	sort.SliceStable(reqs, func(i, j int) bool {
-		if reqs[i].Arrival != reqs[j].Arrival {
-			return reqs[i].Arrival < reqs[j].Arrival
-		}
-		return reqs[i].ID < reqs[j].ID
-	})
+	// (each stream is already arrival-ordered, so a tenant's own requests
+	// keep their generation order).
+	reqs := merge(streams, func(a, b *Request) bool { return a.Arrival < b.Arrival })
 	for i := range reqs {
 		reqs[i].ID = i
 	}
 	return reqs
+}
+
+// merge returns the ascending union of the ascending lists. An element
+// is taken before an equal one from a later list, so the result is what
+// a stable sort of the lists' concatenation would give. Each element
+// costs one comparison per list, which suits the handful of tenants a
+// run has.
+func merge[T any](lists [][]T, less func(a, b *T) bool) []T {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]T, n)
+	next := make([]int, len(lists))
+	for o := range out {
+		best := -1
+		for i, l := range lists {
+			if next[i] < len(l) && (best < 0 || less(&l[next[i]], &lists[best][next[best]])) {
+				best = i
+			}
+		}
+		out[o] = lists[best][next[best]]
+		next[best]++
+	}
+	return out
 }
 
 // traceRequests validates an explicit trace and normalizes its IDs. The
@@ -81,7 +100,7 @@ func traceRequests(opts Options, tenants []tenant) ([]Request, error) {
 		if !inMix {
 			return nil, fmt.Errorf("serve: trace entry %d: benchmark %q not in tenant %q's mix", i, r.Benchmark, r.Tenant)
 		}
-		if r.Arrival < 0 || math.IsNaN(r.Arrival) {
+		if r.Arrival < 0 || math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 1) {
 			return nil, fmt.Errorf("serve: trace entry %d: invalid arrival %v", i, r.Arrival)
 		}
 		if r.Arrival < last {

@@ -52,75 +52,89 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[rank-1]
 }
 
-// metricsOf computes Metrics over recs, judging SLO attainment against
-// target (per-tenant target, or 0 overall to use each record's tenant
-// target via targets).
-func metricsOf(recs []Record, makespan float64, targets map[string]float64) Metrics {
-	var m Metrics
-	var lats []float64
-	var sumLat, sumE float64
-	met := 0
-	for _, r := range recs {
-		m.Requests++
-		if r.Dropped {
-			m.Dropped++
-			continue
-		}
-		l := r.Latency()
-		lats = append(lats, l)
-		sumLat += l
-		sumE += r.EnergyUJ
-		if r.SLOMet(targets[r.Tenant]) {
-			met++
-		}
+// tally accumulates one Metrics' counts and sums over records added in
+// ID order.
+type tally struct {
+	m            Metrics
+	sumLat, sumE float64
+	met          int
+}
+
+// add counts r, judging SLO attainment against target seconds.
+func (t *tally) add(r *Record, target float64) {
+	t.m.Requests++
+	if r.Dropped {
+		t.m.Dropped++
+		return
 	}
-	sort.Float64s(lats)
-	done := len(lats)
-	m.P50MS = percentile(lats, 50) * 1e3
-	m.P95MS = percentile(lats, 95) * 1e3
-	m.P99MS = percentile(lats, 99) * 1e3
+	t.sumLat += r.Latency()
+	t.sumE += r.EnergyUJ
+	if r.SLOMet(target) {
+		t.met++
+	}
+}
+
+// metrics finishes the tally given its completed requests' latencies in
+// ascending order.
+func (t *tally) metrics(sorted []float64, makespan float64) Metrics {
+	m := t.m
+	done := len(sorted)
+	m.P50MS = percentile(sorted, 50) * 1e3
+	m.P95MS = percentile(sorted, 95) * 1e3
+	m.P99MS = percentile(sorted, 99) * 1e3
 	if done > 0 {
-		m.MeanMS = sumLat / float64(done) * 1e3
-		m.EnergyPerReqUJ = sumE / float64(done)
+		m.MeanMS = t.sumLat / float64(done) * 1e3
+		m.EnergyPerReqUJ = t.sumE / float64(done)
 	}
 	if makespan > 0 {
 		m.ThroughputRPS = float64(done) / makespan
 	}
 	if m.Requests > 0 {
-		m.SLOAttained = float64(met) / float64(m.Requests)
+		m.SLOAttained = float64(t.met) / float64(m.Requests)
 	}
 	return m
 }
 
 // computeMetrics produces per-tenant metrics (in tenant order) and the
-// overall aggregate.
+// overall aggregate in one pass over the records. Every record belongs to
+// exactly one tenant — names are unique, and the generator and the trace
+// check take them from tenants — so the overall latencies are the merge
+// of the per-tenant sorted ones. Sums run in record order, per tenant and
+// overall alike.
 func computeMetrics(tenants []tenant, records []Record) ([]TenantMetrics, Metrics) {
-	targets := make(map[string]float64, len(tenants))
-	for _, t := range tenants {
-		targets[t.Name] = t.SLOTarget
+	index := make(map[string]int, len(tenants))
+	for i, t := range tenants {
+		index[t.Name] = i
 	}
+	per := make([]tally, len(tenants))
+	lats := make([][]float64, len(tenants))
+	var all tally
 	var makespan float64
-	for _, r := range records {
-		if !r.Dropped && r.Finish > makespan {
+	for i := range records {
+		r := &records[i]
+		t := index[r.Tenant]
+		per[t].add(r, tenants[t].SLOTarget)
+		all.add(r, tenants[t].SLOTarget)
+		if r.Dropped {
+			continue
+		}
+		lats[t] = append(lats[t], r.Latency())
+		if r.Finish > makespan {
 			makespan = r.Finish
 		}
 	}
 	out := make([]TenantMetrics, len(tenants))
 	for i, t := range tenants {
-		var recs []Record
-		for _, r := range records {
-			if r.Tenant == t.Name {
-				recs = append(recs, r)
-			}
-		}
+		sort.Float64s(lats[i])
 		out[i] = TenantMetrics{
 			Tenant:   t.Name,
 			Class:    t.SLOClass,
 			TargetMS: t.SLOTarget * 1e3,
-			Metrics:  metricsOf(recs, makespan, targets),
+			Metrics:  per[i].metrics(lats[i], makespan),
 		}
 	}
-	return out, metricsOf(records, makespan, targets)
+	overall := merge(lats, func(a, b *float64) bool { return *a < *b })
+	return out, all.metrics(overall, makespan)
 }
 
 // num renders a full-precision numeric cell: the exact value is what
@@ -196,10 +210,15 @@ func (r *Result) SummaryTable() *artifact.Table {
 
 // LoadSweep serves the same workload at every (policy, load) pair and
 // renders the p50/p99-vs-offered-load artifact — the QoS curve the
-// paper's serving argument turns on. Policies are named (fresh instances
-// per run via NewPolicy, so stateful policies never leak accounting
-// across runs).
+// paper's serving argument turns on. The kernels are profiled once, for
+// the first cell, and every cell replays against those profiles: neither
+// the policy nor the load changes what a kernel costs. Policies are named
+// (fresh instances per run via NewPolicy, so stateful policies never leak
+// accounting across runs).
 func LoadSweep(ctx context.Context, opts Options, policies []string, loads []float64) (*artifact.Table, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	base := opts.withDefaults()
 	tab := &artifact.Table{
 		Key:   "serve-load",
@@ -212,8 +231,12 @@ func LoadSweep(ctx context.Context, opts Options, policies []string, loads []flo
 			{Name: "throughput", Unit: "req/s"}, {Name: "energy/req", Unit: "uJ"},
 		},
 	}
+	var profiles map[string]profile
 	for _, name := range policies {
 		for _, load := range loads {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			o := opts
 			o.Load = load
 			// Fresh per-run policy: wfq's served-time state must not carry
@@ -223,7 +246,7 @@ func LoadSweep(ctx context.Context, opts Options, policies []string, loads []flo
 				return nil, err
 			}
 			o.Policy = p
-			res, err := Serve(ctx, o)
+			res, err := run(ctx, o, &profiles)
 			if err != nil {
 				return nil, fmt.Errorf("serve: load sweep %s@%.2f: %w", name, load, err)
 			}

@@ -58,6 +58,7 @@ func WeightedFair(weights map[string]float64) Policy {
 type weightedFair struct {
 	weights map[string]float64
 	served  map[string]float64
+	memo    memo // Pick's per-tenant served/weight
 }
 
 func (*weightedFair) Name() string { return "wfq" }
@@ -70,11 +71,15 @@ func (p *weightedFair) share(tenant string) float64 {
 }
 
 func (p *weightedFair) Pick(pending []*Request, _ float64) int {
-	best := 0
-	bestV := p.served[pending[0].Tenant] / p.share(pending[0].Tenant)
-	for i := 1; i < len(pending); i++ {
-		v := p.served[pending[i].Tenant] / p.share(pending[i].Tenant)
-		if v < bestV {
+	p.memo.reset()
+	best, bestV := 0, 0.0
+	for i, r := range pending {
+		v, ok := p.memo.lookup(r.Tenant)
+		if !ok {
+			v = p.served[r.Tenant] / p.share(r.Tenant)
+			p.memo.add(r.Tenant, v)
+		}
+		if i == 0 || v < bestV {
 			best, bestV = i, v
 		}
 	}
@@ -102,16 +107,21 @@ func SLOAware(targets map[string]float64) Policy {
 
 type sloAware struct {
 	targets map[string]float64
+	memo    memo // Pick's per-class target
 }
 
 func (*sloAware) Name() string { return "slo" }
 
 func (p *sloAware) Pick(pending []*Request, _ float64) int {
-	best := 0
-	bestD := pending[0].Arrival + p.targets[pending[0].Class]
-	for i := 1; i < len(pending); i++ {
-		d := pending[i].Arrival + p.targets[pending[i].Class]
-		if d < bestD {
+	p.memo.reset()
+	best, bestD := 0, 0.0
+	for i, r := range pending {
+		target, ok := p.memo.lookup(r.Class)
+		if !ok {
+			target = p.targets[r.Class]
+			p.memo.add(r.Class, target)
+		}
+		if d := r.Arrival + target; i == 0 || d < bestD {
 			best, bestD = i, d
 		}
 	}
@@ -119,6 +129,33 @@ func (p *sloAware) Pick(pending []*Request, _ float64) int {
 }
 
 func (*sloAware) Served(string, float64) {}
+
+// memo holds one value per distinct key for the span of one Pick call.
+// The built-in policies' values depend on the request's tenant or class
+// alone, so each is computed once per call instead of hashing the key
+// for every pending request. A run has a handful of tenants and classes,
+// so a linear scan finds a key in a few comparisons, and the strings the
+// generator shares compare by pointer.
+type memo struct {
+	keys []string
+	vals []float64
+}
+
+func (m *memo) reset() { m.keys, m.vals = m.keys[:0], m.vals[:0] }
+
+func (m *memo) lookup(key string) (float64, bool) {
+	for i, k := range m.keys {
+		if k == key {
+			return m.vals[i], true
+		}
+	}
+	return 0, false
+}
+
+func (m *memo) add(key string, v float64) {
+	m.keys = append(m.keys, key)
+	m.vals = append(m.vals, v)
+}
 
 // PolicyNames lists the built-in policy vocabulary NewPolicy accepts,
 // sorted — the pathfinding axis and CLI flags validate against it.

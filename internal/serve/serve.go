@@ -227,39 +227,73 @@ func Serve(ctx context.Context, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = opts.withDefaults()
-	if len(opts.Tenants) == 0 {
-		return nil, fmt.Errorf("serve: no tenants (the request stream needs at least one issuer)")
+	var profiles map[string]profile
+	return run(ctx, opts, &profiles)
+}
+
+// run validates and defaults opts, profiles the kernels unless *profiles
+// already holds them, and replays the arrival stream through the
+// scheduler.
+func run(ctx context.Context, opts Options, profiles *map[string]profile) (*Result, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
-	for i, tn := range opts.Tenants {
-		if tn.Name == "" {
-			return nil, fmt.Errorf("serve: tenant %d has no name", i)
+	opts = opts.withDefaults()
+	if *profiles == nil {
+		p, err := profileKernels(ctx, opts)
+		if err != nil {
+			return nil, err
 		}
+		*profiles = p
+	}
+	tenants := resolveTenants(opts, *profiles)
+	if len(opts.Trace) == 0 {
+		return simulate(opts, tenants, *profiles, poissonRequests(opts, tenants)), nil
+	}
+	reqs, err := traceRequests(opts, tenants)
+	if err != nil {
+		return nil, err
+	}
+	return simulate(opts, tenants, *profiles, reqs), nil
+}
+
+// validate rejects options no run can serve: a missing or repeated tenant
+// name, an empty or unknown mix, and non-finite numbers, which would
+// otherwise turn arrivals or metrics into NaN.
+func (o Options) validate() error {
+	if math.IsNaN(o.Load) || math.IsInf(o.Load, 0) {
+		return fmt.Errorf("serve: Load %v is not finite", o.Load)
+	}
+	if len(o.Tenants) == 0 {
+		return fmt.Errorf("serve: no tenants (the request stream needs at least one issuer)")
+	}
+	seen := make(map[string]bool, len(o.Tenants))
+	for i, tn := range o.Tenants {
+		if tn.Name == "" {
+			return fmt.Errorf("serve: tenant %d has no name", i)
+		}
+		if seen[tn.Name] {
+			return fmt.Errorf("serve: tenant %q is named twice", tn.Name)
+		}
+		seen[tn.Name] = true
 		if len(tn.Mix) == 0 {
-			return nil, fmt.Errorf("serve: tenant %q has an empty benchmark mix", tn.Name)
+			return fmt.Errorf("serve: tenant %q has an empty benchmark mix", tn.Name)
 		}
 		for _, b := range tn.Mix {
 			if _, err := prim.ByName(b); err != nil {
-				return nil, fmt.Errorf("serve: tenant %q: %w", tn.Name, err)
+				return fmt.Errorf("serve: tenant %q: %w", tn.Name, err)
+			}
+		}
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"Weight", tn.Weight}, {"Rate", tn.Rate}, {"SLOTarget", tn.SLOTarget}} {
+			if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+				return fmt.Errorf("serve: tenant %q: %s %v is not finite", tn.Name, f.name, f.v)
 			}
 		}
 	}
-
-	profiles, err := profileKernels(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	tenants := resolveTenants(opts, profiles)
-	var reqs []Request
-	if len(opts.Trace) > 0 {
-		reqs, err = traceRequests(opts, tenants)
-	} else {
-		reqs = poissonRequests(opts, tenants)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return simulate(opts, tenants, profiles, reqs), nil
+	return nil
 }
 
 // profileKernels simulates every distinct benchmark of the workload once on

@@ -289,6 +289,23 @@ func TestServeValidation(t *testing.T) {
 		{"unnamed tenant", func(o *Options) { o.Tenants[0].Name = "" }, "has no name"},
 		{"empty mix", func(o *Options) { o.Tenants[1].Mix = nil }, "empty benchmark mix"},
 		{"unknown benchmark", func(o *Options) { o.Tenants[0].Mix = []string{"NOPE"} }, "NOPE"},
+		// NaN passes every "<= 0 means default" test, and Inf turns the
+		// weight share into Inf/Inf: either would make arrivals NaN and
+		// the replay never admit them, or poison the metrics.
+		{"NaN load", func(o *Options) { o.Load = math.NaN() }, "Load NaN is not finite"},
+		{"infinite load", func(o *Options) { o.Load = math.Inf(-1) }, "Load -Inf is not finite"},
+		{"NaN rate", func(o *Options) { o.Tenants[1].Rate = math.NaN() }, `tenant "beta": Rate NaN`},
+		{"infinite rate", func(o *Options) { o.Tenants[0].Rate = math.Inf(1) }, `tenant "alpha": Rate +Inf`},
+		{"NaN weight", func(o *Options) { o.Tenants[0].Weight = math.NaN() }, `tenant "alpha": Weight NaN`},
+		{"infinite weight", func(o *Options) { o.Tenants[1].Weight = math.Inf(1) }, `tenant "beta": Weight +Inf`},
+		{"NaN SLO target", func(o *Options) { o.Tenants[0].SLOTarget = math.NaN() }, `tenant "alpha": SLOTarget NaN`},
+		{"infinite SLO target", func(o *Options) { o.Tenants[1].SLOTarget = math.Inf(1) }, `tenant "beta": SLOTarget +Inf`},
+		// Two tenants of one name would share an arrival seed and each
+		// report both tenants' requests.
+		{"repeated name", func(o *Options) { o.Tenants[1].Name = "alpha" }, `tenant "alpha" is named twice`},
+		{"infinite trace arrival", func(o *Options) {
+			o.Trace = []Request{{Tenant: "alpha", Benchmark: "VA", Arrival: math.Inf(1)}}
+		}, "invalid arrival"},
 	}
 	for _, tc := range cases {
 		opts := testOptions()
@@ -351,6 +368,38 @@ func TestLoadSweep(t *testing.T) {
 	}
 	if tab.Key != "serve-load" || tab.Scale != "tiny" {
 		t.Errorf("table key/scale = %q/%q", tab.Key, tab.Scale)
+	}
+	// The sweep profiles once and replays every cell against those
+	// profiles; each row must equal the one a separate Serve call (which
+	// profiles on its own) gives for the cell.
+	row := 0
+	for _, name := range policies {
+		for _, load := range loads {
+			o := opts
+			o.Load = load
+			p, err := NewPolicy(name, opts.Tenants)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Policy = p
+			res, err := Serve(context.Background(), o)
+			if err != nil {
+				t.Fatalf("Serve %s@%v: %v", name, load, err)
+			}
+			for _, tm := range res.Tenants {
+				got := tab.Rows[row]
+				want := []float64{load, tm.P50MS, tm.P99MS, tm.ThroughputRPS, tm.EnergyPerReqUJ}
+				for i, col := range []int{1, 3, 4, 5, 6} {
+					if got[col].Num != want[i] {
+						t.Errorf("row %d (%s@%v %s) column %d = %v, Serve gives %v", row, name, load, tm.Tenant, col, got[col].Num, want[i])
+					}
+				}
+				row++
+			}
+		}
+	}
+	if _, err := LoadSweep(context.Background(), opts, policies, []float64{0.5, math.NaN()}); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Errorf("LoadSweep with a NaN load: err = %v, want a not-finite error", err)
 	}
 	tab2, err := LoadSweep(context.Background(), opts, policies, loads)
 	if err != nil {

@@ -2,19 +2,15 @@ package serve
 
 import "math"
 
-// group is one disjoint DPU rank group: it serves one batch at a time
-// and is free again at busyUntil.
-type group struct {
-	busyUntil float64
-	// batch holds the in-flight requests' record indices.
-	batch []int
-}
-
 // simulate replays the arrival stream through the scheduler in virtual
 // time. The loop is strictly single-threaded and event-driven — the next
 // event is always the earlier of the next arrival and the earliest group
 // completion — so the outcome is a pure function of (requests, profiles,
 // policy), independent of host parallelism and wall clock.
+//
+// A dispatch costs the policy's Pick plus at most one pass over the
+// pending queue, which gathers the batch and closes the gaps it leaves;
+// neither allocates once the queue and the batch scratch have grown.
 func simulate(opts Options, tenants []tenant, profiles map[string]profile, reqs []Request) *Result {
 	records := make([]Record, len(reqs))
 	for i, r := range reqs {
@@ -32,46 +28,49 @@ func simulate(opts Options, tenants []tenant, profiles map[string]profile, reqs 
 		}
 	}
 
-	groups := make([]group, opts.Groups)
+	// busyUntil[g] is when rank group g finishes its in-flight batch; a
+	// group serves one batch at a time.
+	busyUntil := make([]float64, opts.Groups)
 	var pending []*Request // arrival-ordered queue of admitted requests
+	var batch []int        // the dispatching batch's record indices
 	next := 0              // next arrival index into reqs
 	now := 0.0
 	makespan := 0.0
 
 	// dispatch fills every idle group from the pending queue at time now.
 	dispatch := func() {
-		for gi := range groups {
+		for g := range busyUntil {
 			if len(pending) == 0 {
 				return
 			}
-			g := &groups[gi]
-			if g.busyUntil > now {
+			if busyUntil[g] > now {
 				continue
 			}
 			pick := opts.Policy.Pick(pending, now)
 			lead := pending[pick]
-			// Extend the picked request into a batch: queued requests of
-			// the same (tenant, benchmark) ride the same launch, in queue
-			// order, up to MaxBatch — one input staging amortized over all.
-			batch := []int{lead.ID}
-			for i := 0; i < len(pending) && len(batch) < opts.MaxBatch; i++ {
+			// Extend the picked request into a batch: the first MaxBatch-1
+			// other queued requests of the same (tenant, benchmark) ride
+			// the same launch — one input staging amortized over all.
+			// Everything else stays queued, in arrival order: the runs
+			// between batch members slide down over the gaps, and the
+			// scan stops once the batch is full and past the pick.
+			batch = batch[:0]
+			room := opts.MaxBatch - 1 // same-kind companions the lead can take
+			kept, from := 0, 0        // pending[:kept] is final; pending[from:] is unscanned
+			for i := 0; i < len(pending) && (room > 0 || i <= pick); i++ {
 				r := pending[i]
-				if r.ID != lead.ID && r.Tenant == lead.Tenant && r.Benchmark == lead.Benchmark {
-					batch = append(batch, r.ID)
+				if i != pick {
+					if room == 0 || r.Tenant != lead.Tenant || r.Benchmark != lead.Benchmark {
+						continue
+					}
+					room--
 				}
+				kept += copy(pending[kept:], pending[from:i])
+				from = i + 1
+				batch = append(batch, r.ID)
 			}
-			// Remove the batch from the queue, preserving arrival order.
-			inBatch := make(map[int]bool, len(batch))
-			for _, id := range batch {
-				inBatch[id] = true
-			}
-			kept := pending[:0]
-			for _, r := range pending {
-				if !inBatch[r.ID] {
-					kept = append(kept, r)
-				}
-			}
-			pending = kept
+			kept += copy(pending[kept:], pending[from:])
+			pending = pending[:kept]
 
 			p := profiles[lead.Benchmark]
 			k := len(batch)
@@ -85,8 +84,7 @@ func simulate(opts Options, tenants []tenant, profiles map[string]profile, reqs 
 				rec.Batch = k
 				rec.EnergyUJ = euj
 			}
-			g.busyUntil = finish
-			g.batch = append(g.batch[:0], batch...)
+			busyUntil[g] = finish
 			if finish > makespan {
 				makespan = finish
 			}
@@ -94,28 +92,24 @@ func simulate(opts Options, tenants []tenant, profiles map[string]profile, reqs 
 		}
 	}
 
-	for next < len(reqs) || len(pending) > 0 || anyBusy(groups, now) {
+	for next < len(reqs) || len(pending) > 0 || anyBusy(busyUntil, now) {
 		// Advance virtual time to the next event: the earlier of the next
 		// arrival and the earliest in-flight completion.
 		tNext := math.Inf(1)
 		if next < len(reqs) {
 			tNext = reqs[next].Arrival
 		}
-		for gi := range groups {
-			if g := &groups[gi]; g.busyUntil > now && g.busyUntil < tNext {
-				tNext = g.busyUntil
+		for _, t := range busyUntil {
+			if t > now && t < tNext {
+				tNext = t
 			}
 		}
 		now = tNext
 
-		// Completions strictly before new arrivals at the same instant:
-		// a group that frees at t can serve a request arriving at t.
-		for gi := range groups {
-			if g := &groups[gi]; len(g.batch) > 0 && g.busyUntil <= now {
-				g.batch = g.batch[:0]
-			}
-		}
-		// Admit every arrival at this instant (tie-ordered by ID).
+		// Admit every arrival at this instant (tie-ordered by ID). Groups
+		// whose batch completes at now are already idle to dispatch, so
+		// completions come strictly before same-instant arrivals: a group
+		// that frees at t can serve a request arriving at t.
 		for next < len(reqs) && reqs[next].Arrival <= now {
 			if opts.MaxQueue > 0 && len(pending) >= opts.MaxQueue {
 				records[reqs[next].ID].Dropped = true
@@ -140,9 +134,9 @@ func simulate(opts Options, tenants []tenant, profiles map[string]profile, reqs 
 	return res
 }
 
-func anyBusy(groups []group, now float64) bool {
-	for i := range groups {
-		if groups[i].busyUntil > now {
+func anyBusy(busyUntil []float64, now float64) bool {
+	for _, t := range busyUntil {
+		if t > now {
 			return true
 		}
 	}
