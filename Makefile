@@ -29,13 +29,22 @@ pathfind-smoke:
 
 # coord-smoke mirrors the CI job: the same tiny exploration run by four
 # coordinated workers through leased shards, then single-process; the
-# artifacts must match byte for byte and the events log must exist.
+# artifacts must match byte for byte and the events log must exist. The
+# tiered leg repeats this two-tier (-tier2): the coordinated workers leave
+# the single-process run nothing to simulate, and the reports, triage table
+# included, match byte for byte.
 coord-smoke:
-	rm -rf coordstore coordreport1 coordreport2 coord-events.jsonl
+	rm -rf coordstore coordreport1 coordreport2 coord-events.jsonl coordtierstore coordtier1 coordtier2 coord-tier-resume.log
 	$(GO) run ./cmd/pathfind -coordinator -workers 4 -events coord-events.jsonl -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordstore -pareto -goals energy,cost -energy -out coordreport1
 	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordstore -pareto -goals energy,cost -energy -out coordreport2
 	diff -r coordreport1 coordreport2
 	test -s coord-events.jsonl
+	$(GO) run ./cmd/pathfind -coordinator -workers 4 -tier2 -band 0.25 -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordtierstore -pareto -goals energy,cost -energy -out coordtier1
+	$(GO) run ./cmd/pathfind -tier2 -band 0.25 -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordtierstore -pareto -goals energy,cost -energy -out coordtier2 2> coord-tier-resume.log
+	cat coord-tier-resume.log
+	grep -q ", 0 simulated," coord-tier-resume.log
+	test -s coordtier1/pathfind-triage.csv
+	diff -r coordtier1 coordtier2
 
 # serve-smoke mirrors the CI job: a tiny multi-tenant serving run (Poisson
 # arrivals, two tenants, weighted-fair + FIFO load sweep) validated against

@@ -103,8 +103,10 @@ func PointKey(p DesignPoint) string { return explore.KeyOf(p.EP) }
 // concurrently on a bounded worker pool (sharing one kernel build cache)
 // and persist as they finish. Cancelling ctx loses only in-flight points —
 // a later Explore over the same store resumes where this one stopped. The
-// returned Exploration is always non-nil and point-aligned; the error is
-// ctx.Err() after cancellation, else the first per-point failure.
+// returned Exploration is nil when the space cannot enumerate its points (no
+// benchmarks, a duplicate axis, an unknown benchmark), with the error saying
+// why; otherwise it is point-aligned and the error is ctx.Err() after
+// cancellation, else the first per-point failure.
 func Explore(ctx context.Context, space *DesignSpace, opts ExploreOptions) (*Exploration, error) {
 	return explore.New(opts).Explore(ctx, space)
 }

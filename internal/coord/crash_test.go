@@ -29,15 +29,15 @@ func crashSpace() *explore.Space {
 }
 
 // writeArtifacts renders the full artifact set — summary, both Pareto
-// frontiers, best configs, energy — so byte-identity covers every table the
-// CLI can emit.
-func writeArtifacts(t *testing.T, x *explore.Exploration, dir string) {
+// frontiers, best configs, energy, plus any extra tables such as a tiered
+// run's triage — so byte-identity covers every table the CLI can emit.
+func writeArtifacts(t *testing.T, x *explore.Exploration, dir string, extra ...*artifact.Table) {
 	t.Helper()
 	energyPareto := x.ParetoTable(explore.GoalEnergy(nil), explore.GoalCost())
 	energyPareto.Key = "pathfind-pareto-energy"
-	tables := []*artifact.Table{
+	tables := append([]*artifact.Table{
 		x.SummaryTable(), x.ParetoTable(), energyPareto, x.BestTable(3), x.EnergyTable(nil),
-	}
+	}, extra...)
 	if err := artifact.WriteReport(dir, tables); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,9 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 
 // TestCoordinatedTieredByteIdentical pins the two-tier coordinated path:
 // workers resolve out-of-band points at estimate fidelity from the shared
-// band plan, and the artifacts still match a single-process ExploreTiered.
+// band plan and simulate the band, leaving the merge nothing to do, and the
+// artifacts — the triage table included — still match a single-process
+// ExploreTiered.
 func TestCoordinatedTieredByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	space := crashSpace()
@@ -244,17 +246,19 @@ func TestCoordinatedTieredByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	refDir := t.TempDir()
-	writeArtifacts(t, ref, refDir)
+	writeArtifacts(t, ref, refDir, ref.TriageTable(refTri))
 
 	store, err := explore.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var events bytes.Buffer
 	x, tri, err := Run(ctx, space, Options{
 		Workers:   3,
 		ShardSize: 2,
 		Store:     store,
 		Tiered:    &topts,
+		Events:    &events,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +266,26 @@ func TestCoordinatedTieredByteIdentical(t *testing.T) {
 	if tri == nil || tri.Band != refTri.Band || tri.EstimateOnly != refTri.EstimateOnly {
 		t.Fatalf("coordinated triage %+v, reference %+v", tri, refTri)
 	}
+	// The workers did the work: the merge finds the band in the store and
+	// re-resolves the rest from the plan's estimates.
+	if x.Simulated != 0 || x.Hits != tri.Band || x.Estimated != tri.EstimateOnly {
+		t.Errorf("merge simulated %d, hit %d, estimated %d; want 0, %d, %d",
+			x.Simulated, x.Hits, x.Estimated, tri.Band, tri.EstimateOnly)
+	}
+	evs, err := ParseEvents(&events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := map[string]int{}
+	for _, e := range evs {
+		n[e.Type]++
+	}
+	if n[EventPointEstimated] != tri.EstimateOnly || n[EventPointSimulated] != tri.Band || n[EventMergeSimulated] != 0 {
+		t.Errorf("events: %d point_estimated, %d point_simulated, %d merge_simulated; want %d, %d, 0",
+			n[EventPointEstimated], n[EventPointSimulated], n[EventMergeSimulated], tri.EstimateOnly, tri.Band)
+	}
 	gotDir := t.TempDir()
-	writeArtifacts(t, x, gotDir)
+	writeArtifacts(t, x, gotDir, x.TriageTable(tri))
 	compareDirs(t, refDir, gotDir)
 }
 

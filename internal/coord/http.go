@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"upim/internal/engine"
 	"upim/internal/explore"
 	"upim/internal/prim"
 )
@@ -376,8 +375,6 @@ type WorkOptions struct {
 	// Heartbeat and Poll mirror Options; zero picks the same defaults.
 	Heartbeat time.Duration
 	Poll      time.Duration
-	// Watchdog overrides the served spec's watchdog when nonzero.
-	Watchdog uint64
 	// Events, when non-nil, receives this worker's JSONL events.
 	Events io.Writer
 	// Client tunes the lease and store HTTP clients.
@@ -422,10 +419,6 @@ func Work(ctx context.Context, opts WorkOptions) error {
 	if err != nil {
 		return err
 	}
-	watchdog := spec.Watchdog
-	if opts.Watchdog != 0 {
-		watchdog = opts.Watchdog
-	}
 	poll := opts.Poll
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
@@ -437,10 +430,8 @@ func Work(ctx context.Context, opts WorkOptions) error {
 	w := &worker{
 		name:      name,
 		api:       api,
-		backend:   store,
-		eng:       engine.NewWithCache(1, prim.NewBuildCache()),
+		ex:        explore.New(explore.Options{Parallelism: 1, Watchdog: spec.Watchdog, Store: store}),
 		pts:       pts,
-		watchdog:  watchdog,
 		log:       log,
 		heartbeat: opts.Heartbeat,
 		poll:      poll,

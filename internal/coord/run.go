@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"upim/internal/engine"
 	"upim/internal/explore"
 	"upim/internal/prim"
 )
@@ -211,7 +210,6 @@ func Run(ctx context.Context, space *explore.Space, opts Options) (*explore.Expl
 	if cache == nil {
 		cache = prim.NewBuildCache()
 	}
-	eng := engine.NewWithCache(1, cache)
 	track := &tracker{
 		total:      len(pts),
 		outcomes:   make(map[int]explore.Outcome, len(pts)),
@@ -234,15 +232,19 @@ func Run(ctx context.Context, space *explore.Space, opts Options) (*explore.Expl
 				if inc > 0 {
 					name = fmt.Sprintf("w%d.r%d", id, inc)
 				}
+				ex := explore.New(explore.Options{
+					Parallelism: 1,
+					Watchdog:    opts.Watchdog,
+					Store:       newWorkerBackend(opts.Store, faults, log, name),
+					Cache:       cache,
+				})
 				w := &worker{
 					id:          id,
 					incarnation: inc,
 					name:        name,
 					api:         localLease{c},
-					backend:     newWorkerBackend(opts.Store, faults, log, name),
-					eng:         eng,
+					ex:          ex,
 					pts:         pts,
-					watchdog:    opts.Watchdog,
 					plan:        plan,
 					faults:      faults,
 					log:         log,

@@ -124,72 +124,144 @@ func New(opts Options) *Explorer {
 // mid-run loses at most the in-flight points — a later Explore over the same
 // store resumes where this one stopped.
 //
-// The returned Exploration is always non-nil and index-aligned with the
-// space's points. The error is ctx.Err() after a cancellation, otherwise the
-// first per-point failure (all points are attempted regardless); per-point
-// errors are also recorded on their outcomes.
+// The returned Exploration is nil, with the error saying why, when the space
+// cannot enumerate its points (no benchmarks, a duplicate axis, an unknown
+// benchmark). Otherwise it is index-aligned with the space's points, and the
+// error is ctx.Err() after a cancellation, otherwise the first per-point
+// failure (all points are attempted regardless); per-point errors are also
+// recorded on their outcomes.
 func (e *Explorer) Explore(ctx context.Context, space *Space) (*Exploration, error) {
+	return e.run(ctx, space, nil)
+}
+
+// Resolve resolves one design point, index i of its space, by the rules an
+// exploration applies to each of its points: estimate fidelity when plan
+// puts it out of band, otherwise a store hit or a cycle-exact simulation
+// persisted to the store. A nil plan resolves the point at exact fidelity.
+// Failures are recorded on the outcome, and OnOutcome observes it like any
+// exploration outcome. This is the single-point entry the coordinator's
+// workers drive their shards through.
+func (e *Explorer) Resolve(ctx context.Context, p Point, i int, plan *BandPlan) Outcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pts, err := space.Points()
-	if err != nil {
-		return nil, err
+	o, ep, miss := e.open(p, i, plan)
+	if miss {
+		res, err := e.eng.Run(ctx, ep)
+		e.settle(&o, ep, res, err)
+	}
+	e.emit(o)
+	return o
+}
+
+// run is the batch loop behind Explore and ExploreTiered: it opens every
+// point, sweeps the misses through the engine, settles each as it finishes
+// and, after a cancellation, marks the points left unresolved. A nil plan
+// enumerates the space and puts every point in band with no estimate.
+func (e *Explorer) run(ctx context.Context, space *Space, plan *BandPlan) (*Exploration, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var pts []Point
+	if plan != nil {
+		pts = plan.Points
+	} else {
+		var err error
+		if pts, err = space.Points(); err != nil {
+			return nil, err
+		}
 	}
 	x := &Exploration{Space: space, Points: pts, Outcomes: make([]Outcome, len(pts))}
 	var missIdx []int
 	var missPts []engine.Point
 	for i, p := range pts {
-		ep := p.EP
-		if ep.Watchdog == 0 {
-			ep.Watchdog = e.watchdog
-		}
-		o := Outcome{Point: p, Index: i, Key: KeyOf(ep)}
-		if !e.refresh {
-			if res, ok := e.store.Get(o.Key); ok {
-				o.Result, o.Cached, o.Fidelity = res, true, FidelityExact
-				x.Hits++
-			}
-		}
+		o, ep, miss := e.open(p, i, plan)
 		x.Outcomes[i] = o
-		if !o.Cached {
+		if miss {
 			missIdx = append(missIdx, i)
 			missPts = append(missPts, ep)
 		} else {
+			x.count(&o)
 			e.emit(o)
 		}
 	}
 	if len(missPts) > 0 {
 		for eo := range e.eng.Sweep(ctx, missPts) {
 			o := &x.Outcomes[missIdx[eo.Index]]
-			o.Result, o.Err = eo.Result, eo.Err
-			if o.Err == nil && o.Result != nil {
-				if perr := e.store.Put(o.Key, missPts[eo.Index], o.Result); perr != nil {
-					o.Err = perr
-				}
-			}
-			// A point that simulated but failed to persist counts as failed,
-			// not simulated: its outcome carries the store error and the next
-			// run will re-simulate it.
-			if o.Err != nil {
-				x.Failed++
-			} else if o.Result != nil {
-				o.Fidelity = FidelityExact
-				x.Simulated++
-			}
+			e.settle(o, eo.Point, eo.Result, eo.Err)
+			x.count(o)
 			e.emit(*o)
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		// Mark the points the cancelled sweep never delivered.
 		for i := range x.Outcomes {
-			if x.Outcomes[i].Result == nil && x.Outcomes[i].Err == nil {
-				x.Outcomes[i].Err = err
+			if o := &x.Outcomes[i]; o.Fidelity == "" && o.Err == nil {
+				o.Err = err
 			}
 		}
 		return x, err
 	}
 	return x, x.FirstErr()
+}
+
+// open starts resolving point p at index i: it defaults the watchdog, keys
+// the point and attaches the plan's estimate. An out-of-band point resolves
+// here at estimate fidelity; its estimate still persists so the store
+// records the whole exploration at its actual fidelity. An in-band point
+// resolves here when the store holds it (unless Refresh). Otherwise miss is
+// set: the point must simulate as ep and then be settled.
+func (e *Explorer) open(p Point, i int, plan *BandPlan) (o Outcome, ep engine.Point, miss bool) {
+	ep = p.EP
+	if ep.Watchdog == 0 {
+		ep.Watchdog = e.watchdog
+	}
+	o = Outcome{Point: p, Index: i, Key: KeyOf(ep)}
+	if plan != nil {
+		o.Estimate = plan.Estimates[i]
+		if !plan.InBand[i] {
+			o.Fidelity = FidelityEstimate
+			if err := e.store.PutEstimate(o.Key, ep, o.Estimate); err != nil {
+				o.Err, o.Fidelity = err, ""
+			}
+			return o, ep, false
+		}
+	}
+	if !e.refresh {
+		if res, ok := e.store.Get(o.Key); ok {
+			o.Result, o.Cached, o.Fidelity = res, true, FidelityExact
+			return o, ep, false
+		}
+	}
+	return o, ep, true
+}
+
+// settle records the simulation of ep on o and persists its result. A point
+// that simulated but failed to persist counts as failed, not simulated: it
+// keeps its Result, carries the store error, gets no fidelity, and the next
+// run re-simulates it.
+func (e *Explorer) settle(o *Outcome, ep engine.Point, res *prim.Result, err error) {
+	o.Result, o.Err = res, err
+	if err == nil && res != nil {
+		o.Err = e.store.Put(o.Key, ep, res)
+	}
+	if o.Err == nil && o.Result != nil {
+		o.Fidelity = FidelityExact
+	}
+}
+
+// count tallies one resolved outcome into the exploration's counters.
+func (x *Exploration) count(o *Outcome) {
+	switch {
+	case o.Err != nil:
+		x.Failed++
+	case o.Cached:
+		x.Hits++
+	case o.Fidelity == FidelityEstimate:
+		x.Estimated++
+	case o.Result != nil:
+		x.Simulated++
+	}
 }
 
 // CacheStats exposes the kernel build-cache counters.
