@@ -23,8 +23,8 @@ cover:
 # one store; the resumed run must be fully cached and byte-identical.
 pathfind-smoke:
 	rm -rf pfstore pfreport1 pfreport2
-	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -pareto -goals energy,cost -energy -out pfreport1
-	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -pareto -goals energy,cost -energy -out pfreport2
+	$(GO) run ./cmd/upim pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -pareto -goals energy,cost -energy -out pfreport1
+	$(GO) run ./cmd/upim pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store pfstore -pareto -goals energy,cost -energy -out pfreport2
 	diff -r pfreport1 pfreport2
 
 # coord-smoke mirrors the CI job: the same tiny exploration run by four
@@ -35,12 +35,12 @@ pathfind-smoke:
 # included, match byte for byte.
 coord-smoke:
 	rm -rf coordstore coordreport1 coordreport2 coord-events.jsonl coordtierstore coordtier1 coordtier2 coord-tier-resume.log
-	$(GO) run ./cmd/pathfind -coordinator -workers 4 -events coord-events.jsonl -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordstore -pareto -goals energy,cost -energy -out coordreport1
-	$(GO) run ./cmd/pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordstore -pareto -goals energy,cost -energy -out coordreport2
+	$(GO) run ./cmd/upim pathfind -coordinator -workers 4 -events coord-events.jsonl -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordstore -pareto -goals energy,cost -energy -out coordreport1
+	$(GO) run ./cmd/upim pathfind -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordstore -pareto -goals energy,cost -energy -out coordreport2
 	diff -r coordreport1 coordreport2
 	test -s coord-events.jsonl
-	$(GO) run ./cmd/pathfind -coordinator -workers 4 -tier2 -band 0.25 -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordtierstore -pareto -goals energy,cost -energy -out coordtier1
-	$(GO) run ./cmd/pathfind -tier2 -band 0.25 -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordtierstore -pareto -goals energy,cost -energy -out coordtier2 2> coord-tier-resume.log
+	$(GO) run ./cmd/upim pathfind -coordinator -workers 4 -tier2 -band 0.25 -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordtierstore -pareto -goals energy,cost -energy -out coordtier1
+	$(GO) run ./cmd/upim pathfind -tier2 -band 0.25 -bench VA,BS -axes "tasklets=1,4;link=1,2" -scale tiny -store coordtierstore -pareto -goals energy,cost -energy -out coordtier2 2> coord-tier-resume.log
 	cat coord-tier-resume.log
 	grep -q ", 0 simulated," coord-tier-resume.log
 	test -s coordtier1/pathfind-triage.csv
@@ -52,15 +52,15 @@ coord-smoke:
 # virtual-time event loop makes the two reports byte-identical.
 serve-smoke:
 	rm -rf servereport1 servereport8
-	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 1 -check -eps 1e-12 -out servereport1
-	$(GO) run ./cmd/upimulator serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 8 -check -eps 1e-12 -out servereport8
+	$(GO) run ./cmd/upim serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 1 -check -eps 1e-12 -out servereport1
+	$(GO) run ./cmd/upim serve -loads 0.5,0.8,1.1 -policies fifo,wfq -jobs 8 -check -eps 1e-12 -out servereport8
 	diff -r servereport1 servereport8
 
 # energy-check mirrors the CI job: regenerate the energy breakdown at tiny
 # scale, validate it against the committed reference at eps 1e-12, and leave
 # the browsable report under energy-report/.
 energy-check:
-	$(GO) run ./cmd/figures -exp energy -scale tiny -out energy-report -check -eps 1e-12
+	$(GO) run ./cmd/upim figures -exp energy -scale tiny -out energy-report -check -eps 1e-12
 
 # arch-check mirrors the CI job: the canonical cross-architecture Pareto
 # frontier run (UPMEM DPU vs HBM-PIM bank-level MAC over GEMV and VA),
@@ -71,14 +71,14 @@ energy-check:
 # same frontier through internal/figures.
 arch-check:
 	rm -rf archstore archstore8 archreport1 archreport2 archreport8 arch-resume.log
-	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store archstore -jobs 1 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out archreport1
-	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store archstore -jobs 1 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out archreport2 2> arch-resume.log
+	$(GO) run ./cmd/upim pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store archstore -jobs 1 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out archreport1
+	$(GO) run ./cmd/upim pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store archstore -jobs 1 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out archreport2 2> arch-resume.log
 	cat arch-resume.log
 	grep -q ", 0 simulated," arch-resume.log
-	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store archstore8 -jobs 8 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out archreport8
+	$(GO) run ./cmd/upim pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -store archstore8 -jobs 8 -pareto -goals time,energy,cost -energy -check -eps 1e-12 -out archreport8
 	diff -r archreport1 archreport2
 	diff -r archreport1 archreport8
-	$(GO) run ./cmd/figures -exp crossarch -scale tiny -check -eps 1e-12
+	$(GO) run ./cmd/upim figures -exp crossarch -scale tiny -check -eps 1e-12
 
 # calibration-check mirrors the CI job: refit the analytical estimator's
 # calibration from scratch against the cycle-exact simulator and verify the
@@ -86,7 +86,7 @@ arch-check:
 # byte-identical to the refit and that every measured per-figure relative
 # error stays within its committed bound.
 calibration-check:
-	$(GO) run ./cmd/pathfind calibrate -check
+	$(GO) run ./cmd/upim calibrate -check
 
 # bench runs the figure benchmark suite and writes BENCH_10.json (ns/op plus
 # the headline figure metrics, machine-readable). Tune with BENCHTIME=1x for
@@ -111,8 +111,9 @@ vet:
 	$(GO) vet ./...
 
 report:
-	$(GO) run ./cmd/figures -exp all -scale tiny -out report -check
+	$(GO) run ./cmd/upim figures -exp all -scale tiny -out report -check
 
 refdata:
-	$(GO) run ./cmd/figures -exp all -scale tiny -writeref internal/figures/refdata
-	$(GO) run ./cmd/pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -pareto -goals time,energy,cost -energy -writeref internal/figures/refdata
+	$(GO) run ./cmd/upim figures -exp all -scale tiny -writeref internal/figures/refdata
+	$(GO) run ./cmd/upim pathfind -bench GEMV,VA -axes "arch=upmem,hbm-pim;dpus=1,2" -scale tiny -pareto -goals time,energy,cost -energy -writeref internal/figures/refdata
+	$(GO) run ./cmd/upim serve -loads 0.5,0.8,1.1 -policies fifo,wfq -writeref internal/figures/refdata

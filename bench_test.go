@@ -2,7 +2,7 @@
 // Each testing.B below corresponds to one artifact (see docs/ARCHITECTURE.md
 // for the figure-to-code map); headline numbers are attached as custom
 // metrics so `go test -bench=. -benchmem` doubles as a results report.
-// Benchmarks run at tiny scale to stay CI-sized; `cmd/figures -scale
+// Benchmarks run at tiny scale to stay CI-sized; `upim figures -scale
 // small|paper -out DIR` exports the full artifact report.
 package upim_test
 

@@ -3,16 +3,13 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
 	"time"
 
 	"upim"
+	"upim/internal/prim"
 )
 
 // Server connection limits. A client gets readHeaderTimeout to send its
@@ -24,11 +21,14 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-// runServe serves a result store over HTTP — and, when space flags are
-// given, a lease-protocol coordinator over that space — so `pathfind work
-// -connect URL` processes on other machines can drain the exploration.
-func runServe(args []string) int {
-	fs := flag.NewFlagSet("pathfind serve", flag.ExitOnError)
+// cmdCoordinate serves a result store over HTTP — and, when space flags
+// are given, a lease-protocol coordinator over that space — so `upim work
+// -connect URL` processes on other machines can drain one exploration:
+//
+//	upim coordinate -addr :7070 -store ./pfstore -bench VA,BS -scale tiny
+//	upim work -connect http://host:7070 -name w0   # on each machine
+func cmdCoordinate(c *cli, args []string) int {
+	fs := c.fs
 	var (
 		addr     = fs.String("addr", "localhost:7070", "listen address")
 		storeDir = fs.String("store", "", "result store directory to serve (required)")
@@ -40,57 +40,45 @@ func runServe(args []string) int {
 		ttl      = fs.Duration("ttl", 10*time.Second, "lease time-to-live; workers renewing slower than this lose their shard")
 		events   = fs.String("events", "", "append the JSONL coordination events log to this file")
 	)
-	_ = fs.Parse(args)
+	if code, ok := c.parse(args); !ok {
+		return code
+	}
 	if *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "pathfind serve: -store is required (the served result store)")
-		return 2
+		return c.fail(2, errors.New("-store is required (the served result store)"))
+	}
+	sc, err := prim.ParseScale(*scale)
+	if err != nil {
+		return c.fail(2, err)
 	}
 	store, err := upim.OpenResultStore(*storeDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind serve:", err)
-		return 1
+		return c.fail(1, err)
 	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
 
 	var handler http.Handler
 	var handle *upim.CoordHandle
 	if *bench == "" {
 		handler = upim.NewResultStoreServer(store)
-		fmt.Fprintf(os.Stderr, "pathfind serve: store %s on %s (store only; add -bench for a coordinator)\n", *storeDir, *addr)
+		c.logf("store %s on %s (store only; add -bench for a coordinator)", *storeDir, *addr)
 	} else {
-		sc, ok := map[string]upim.Scale{"tiny": upim.ScaleTiny, "small": upim.ScaleSmall, "paper": upim.ScalePaper}[*scale]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "pathfind serve: unknown scale %q (want tiny, small or paper)\n", *scale)
-			return 2
-		}
 		axes, err := upim.ParseAxes(*axesSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind serve:", err)
-			return 2
+			return c.fail(2, err)
 		}
 		space := upim.NewDesignSpace(strings.Split(*bench, ","), axes...)
 		space.Scale = sc
 		space.DPUs = *dpus
-		var eventsW io.Writer
-		if *events != "" {
-			ef, ferr := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "pathfind serve:", ferr)
-				return 1
-			}
-			defer ef.Close()
-			eventsW = ef
-		}
-		handler, handle, err = upim.ServeCoordinator(space, store,
-			0, upim.CoordinatorOptions{ShardSize: *shard, TTL: *ttl}, eventsW)
+		ev, closeEvents, err := openEvents(*events)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind serve:", err)
-			return 2
+			return c.fail(1, err)
 		}
-		fmt.Fprintf(os.Stderr, "pathfind serve: coordinating %d points over store %s on %s\n",
-			handle.Points(), *storeDir, *addr)
+		defer closeEvents()
+		handler, handle, err = upim.ServeCoordinator(space, store,
+			0, upim.CoordinatorOptions{ShardSize: *shard, TTL: *ttl}, ev)
+		if err != nil {
+			return c.fail(2, err)
+		}
+		c.logf("coordinating %d points over store %s on %s", handle.Points(), *storeDir, *addr)
 	}
 
 	srv := &http.Server{
@@ -111,30 +99,27 @@ func runServe(args []string) int {
 		select {
 		case err := <-errc:
 			if err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "pathfind serve:", err)
-				return 1
+				return c.fail(1, err)
 			}
 			return 0
-		case <-ctx.Done():
+		case <-c.ctx.Done():
 			shutdown(srv)
-			fmt.Fprintln(os.Stderr, "pathfind serve: interrupted")
+			c.logf("interrupted")
 			return 1
 		case <-tick.C:
 			if handle == nil {
 				continue
 			}
 			st := handle.Status()
-			line := fmt.Sprintf("pathfind serve: shards %d/%d done, %d leased, %d pending",
-				st.Done, st.Shards, st.Leased, st.Pending)
+			line := fmt.Sprintf("shards %d/%d done, %d leased, %d pending", st.Done, st.Shards, st.Leased, st.Pending)
 			if line != lastLine {
-				fmt.Fprintln(os.Stderr, line)
+				c.logf("%s", line)
 				lastLine = line
 			}
 			if st.AllDone {
 				shutdown(srv)
 				n, _ := store.Count()
-				fmt.Fprintf(os.Stderr, "pathfind serve: all %d shards done; store %s holds %d points\n",
-					st.Shards, *storeDir, n)
+				c.logf("all %d shards done; store %s holds %d points", st.Shards, *storeDir, n)
 				return 0
 			}
 		}
@@ -147,35 +132,29 @@ func shutdown(srv *http.Server) {
 	_ = srv.Shutdown(ctx)
 }
 
-// runWork runs one remote worker process against a serving coordinator.
-func runWork(args []string) int {
-	fs := flag.NewFlagSet("pathfind work", flag.ExitOnError)
+// cmdWork runs one remote worker process against a coordinator served by
+// `upim coordinate`.
+func cmdWork(c *cli, args []string) int {
+	fs := c.fs
 	var (
 		connect = fs.String("connect", "", "coordinator base URL, e.g. http://host:7070 (required)")
 		name    = fs.String("name", "", "worker name in leases and events (default \"worker\")")
 		events  = fs.String("events", "", "append this worker's JSONL events log to a file")
 	)
-	_ = fs.Parse(args)
+	if code, ok := c.parse(args); !ok {
+		return code
+	}
 	if *connect == "" {
-		fmt.Fprintln(os.Stderr, "pathfind work: -connect is required (the coordinator URL)")
-		return 2
+		return c.fail(2, errors.New("-connect is required (the coordinator URL)"))
 	}
-	opts := upim.WorkOptions{Connect: *connect, Name: *name}
-	if *events != "" {
-		ef, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pathfind work:", err)
-			return 1
-		}
-		defer ef.Close()
-		opts.Events = ef
+	ev, closeEvents, err := openEvents(*events)
+	if err != nil {
+		return c.fail(1, err)
 	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-	if err := upim.Work(ctx, opts); err != nil {
-		fmt.Fprintln(os.Stderr, "pathfind work:", err)
-		return 1
+	defer closeEvents()
+	if err := upim.Work(c.ctx, upim.WorkOptions{Connect: *connect, Name: *name, Events: ev}); err != nil {
+		return c.fail(1, err)
 	}
-	fmt.Fprintln(os.Stderr, "pathfind work: all shards done")
+	c.logf("all shards done")
 	return 0
 }

@@ -1,41 +1,32 @@
 package main
 
 import (
-	"context"
-	"flag"
+	"errors"
 	"fmt"
 	"math"
-	"os"
-	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"upim"
-	"upim/internal/figures/refdata"
+	"upim/internal/prim"
 )
 
-// serveUsage documents the serve subcommand's tenant grammar.
-const serveUsage = `upimulator serve — serve a multi-tenant request stream on the simulated PIM system
-
-The workload is co-located tenants issuing PrIM kernels as an open-loop
+// serveDoc documents the serve subcommand's workload and tenant grammar.
+const serveDoc = `The workload is co-located tenants issuing PrIM kernels as an open-loop
 Poisson stream; a host-side scheduler batches and places them on disjoint
 DPU rank groups. Runs are virtual-time deterministic: the same flags
 always produce byte-identical artifacts, at any -jobs.
 
 Tenant grammar (-tenants): semicolon-separated "name=BENCH+BENCH[:weight]":
 
-  upimulator serve -tenants "alpha=VA+RED:3;beta=BS:1" -policy wfq -load 0.9
-  upimulator serve -loads 0.5,0.7,0.9,1.1 -policies fifo,wfq,slo -out report
+  upim serve -tenants "alpha=VA+RED:3;beta=BS:1" -policy wfq -load 0.9
+  upim serve -loads 0.5,0.7,0.9,1.1 -policies fifo,wfq,slo -out report
 `
 
-// serveMain is the `upimulator serve` entry point.
-func serveMain(args []string) int {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprint(os.Stderr, serveUsage, "\nFlags:\n")
-		fs.PrintDefaults()
-	}
+// cmdServe evaluates the simulated system as a multi-tenant server under
+// an open-loop request stream instead of a single closed run.
+func cmdServe(c *cli, args []string) int {
+	fs := c.fs
 	var (
 		tenants  = fs.String("tenants", "alpha=VA+RED:3;beta=BS:1", "tenant spec: name=BENCH+BENCH[:weight], semicolon-separated")
 		policy   = fs.String("policy", "fifo", "scheduling policy: "+strings.Join(upim.SchedulingPolicyNames(), ", "))
@@ -55,33 +46,42 @@ func serveMain(args []string) int {
 		eps      = fs.Float64("eps", 0, "relative tolerance for -check (0 = the 1% default)")
 		writeref = fs.String("writeref", "", "write reference JSON artifacts into this directory (maintainers only)")
 	)
-	fs.Parse(args)
-
-	sc, ok := map[string]upim.Scale{"tiny": upim.ScaleTiny, "small": upim.ScaleSmall, "paper": upim.ScalePaper}[*scale]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "upimulator serve: unknown scale %q\n", *scale)
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
+	}
+	sc, err := prim.ParseScale(*scale)
+	if err != nil {
+		return c.fail(2, err)
+	}
+	art := artifacts{out: *out, writeref: *writeref, check: *check, eps: *eps, spaced: true}
+	if err := art.validate(); err != nil {
+		return c.fail(2, err)
 	}
 	tn, err := parseTenants(*tenants)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-		return 2
+		return c.fail(2, err)
 	}
 	pol, err := upim.NewSchedulingPolicy(*policy, tn)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-		return 2
+		return c.fail(2, err)
 	}
 	var ls []float64
+	var sweep []string
 	if *loads != "" {
 		if ls, err = parseLoads(*loads); err != nil {
-			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-			return 2
+			return c.fail(2, err)
 		}
+		// Every sweep policy is checked before the first simulation, so a
+		// typo costs nothing.
+		sweep = strings.Split(*policies, ",")
+		for _, name := range sweep {
+			if _, err := upim.NewSchedulingPolicy(name, tn); err != nil {
+				return c.fail(2, err)
+			}
+		}
+	} else if c.set("policies") {
+		return c.fail(2, errors.New("-policies only affects the -loads sweep; add -loads to use it"))
 	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
 
 	opts := upim.ServeOptions{
 		Tenants:     tn,
@@ -96,67 +96,19 @@ func serveMain(args []string) int {
 		Scale:       sc,
 		Parallelism: *jobs,
 	}
-	res, err := upim.Serve(ctx, opts)
+	res, err := upim.Serve(c.ctx, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-		return 1
+		return c.fail(1, err)
 	}
 	tables := []*upim.ResultTable{res.RequestTable(), res.SummaryTable()}
-	if *loads != "" {
-		tab, err := upim.ServeLoadSweep(ctx, opts, strings.Split(*policies, ","), ls)
+	if ls != nil {
+		tab, err := upim.ServeLoadSweep(c.ctx, opts, sweep, ls)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-			return 1
+			return c.fail(1, err)
 		}
 		tables = append(tables, tab)
 	}
-
-	for _, tab := range tables {
-		tab.Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if *out != "" {
-		if err := upim.WriteReport(*out, tables); err != nil {
-			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "upimulator serve: wrote %d artifacts to %s\n", len(tables), *out)
-	}
-	if *writeref != "" {
-		if err := os.MkdirAll(*writeref, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-			return 1
-		}
-		for _, tab := range tables {
-			path := filepath.Join(*writeref, refdata.FileName(tab.Key, tab.Scale))
-			f, err := os.Create(path)
-			if err == nil {
-				err = tab.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "upimulator serve:", err)
-				return 1
-			}
-		}
-		fmt.Fprintf(os.Stderr, "upimulator serve: wrote %d reference artifacts to %s\n", len(tables), *writeref)
-	}
-	if *check {
-		failed := 0
-		for _, tab := range tables {
-			if err := upim.CheckArtifact(tab, *eps); err != nil {
-				fmt.Fprintf(os.Stderr, "upimulator serve: check FAILED: %v\n", err)
-				failed++
-			}
-		}
-		if failed > 0 {
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "upimulator serve: all %d artifacts match the reference\n", len(tables))
-	}
-	return 0
+	return c.emit(tables, art)
 }
 
 // parseTenants parses the -tenants grammar: semicolon-separated

@@ -17,8 +17,8 @@ import (
 // coordinated run emits byte-identical artifacts to a single-process one
 // over the same space. Run in-process (CoordinatedExplore), or serve the
 // lease protocol and the store over HTTP (ServeCoordinator + Work) to spread
-// one exploration across processes and machines. See cmd/pathfind
-// (-coordinator, serve, work) for the CLI front end.
+// one exploration across processes and machines. See `upim pathfind
+// -coordinator`, `upim coordinate` and `upim work` for the CLI front end.
 
 // StoreBackend is the pluggable result-store interface explorations read and
 // write through: the local content-addressed directory store (ResultStore)
@@ -84,7 +84,7 @@ type WorkUnit = coord.WorkUnit
 
 // ServeCoordinator builds the HTTP handler for one coordinated exploration
 // served to remote workers: the lease protocol for the space plus the result
-// store, composed on one mux so `pathfind work -connect URL` needs a single
+// store, composed on one mux so `upim work -connect URL` needs a single
 // address. The exploration's watchdog travels in the spec so workers compute
 // identical store keys. Spaces with programmatic Constrain filters cannot be
 // served (constraints do not serialize) and are refused.

@@ -40,7 +40,7 @@ func DefaultCalibration() *CalibrationProfile { return estimate.Default() }
 // LoadCalibration reads a calibration artifact from a JSON file. Loading is
 // strict — unknown fields, format mismatches, negative values and
 // trailing content are all errors — because the artifact is machine-
-// generated (`pathfind calibrate`), not hand-edited.
+// generated (`upim calibrate`), not hand-edited.
 func LoadCalibration(path string) (*CalibrationProfile, error) { return estimate.LoadFile(path) }
 
 // NewEstimator builds an estimator from a calibration (nil = the committed

@@ -83,7 +83,7 @@ func main() {
 		fmt.Printf("  %-55s %s\n", d, marker)
 	}
 
-	// The triage summary as a standard artifact table (cmd/pathfind -tier2
+	// The triage summary as a standard artifact table (upim pathfind -tier2
 	// prints the same and -out exports it as CSV/JSON/Markdown).
 	fmt.Println()
 	x.TriageTable(tri).Fprint(log.Writer())

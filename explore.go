@@ -11,7 +11,7 @@ import (
 // runs through the concurrent sweep engine, backed by an optional persistent
 // content-addressed ResultStore so interrupted or repeated explorations
 // resume instantly and a finished point is never simulated twice, even
-// across processes. See cmd/pathfind for the CLI front end.
+// across processes. See `upim pathfind` (cmd/upim) for the CLI front end.
 
 // DesignAxis is one named design dimension: an ordered list of levels, the
 // first conventionally the baseline.

@@ -11,7 +11,7 @@
 // text, tables can be diffed numerically: Compare checks two tables
 // cell-by-cell under a relative epsilon, which is how the embedded
 // tiny-scale reference results (internal/figures/refdata) turn the whole
-// figure suite into a regression oracle for `cmd/figures -check`.
+// figure suite into a regression oracle for `upim figures -check`.
 package artifact
 
 import (

@@ -366,7 +366,7 @@ func (c *Client) leaseOp(path, lease string) error {
 	return err
 }
 
-// WorkOptions configure one remote worker process (pathfind work).
+// WorkOptions configure one remote worker process (upim work).
 type WorkOptions struct {
 	// Connect is the coordinator/store base URL (one server serves both).
 	Connect string

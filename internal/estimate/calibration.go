@@ -166,7 +166,7 @@ type FigureBound struct {
 // Calibration is the versioned analytical-model parameter set: the workload
 // signature table and the per-figure error bounds measured against it. It is
 // a committed, machine-generated artifact
-// (calibration/default.json, regenerated by `pathfind calibrate`), not a
+// (calibration/default.json, regenerated by `upim calibrate`), not a
 // hand-edited file — Load is therefore strict rather than override-style.
 type Calibration struct {
 	// Name identifies the calibration in reports and store entries.
@@ -252,7 +252,7 @@ func Load(r io.Reader) (*Calibration, error) {
 		return nil, fmt.Errorf("estimate: decoding calibration: %w", err)
 	}
 	// One JSON object per calibration file: trailing content means the file
-	// is not the artifact `pathfind calibrate` wrote.
+	// is not the artifact `upim calibrate` wrote.
 	if dec.More() {
 		return nil, fmt.Errorf("estimate: calibration has trailing content after the JSON object")
 	}
@@ -277,7 +277,7 @@ func LoadFile(path string) (*Calibration, error) {
 }
 
 // Marshal renders the calibration in the canonical committed form (indented
-// JSON with a trailing newline) — the byte layout `pathfind calibrate`
+// JSON with a trailing newline) — the byte layout `upim calibrate`
 // writes and the drift check compares against.
 func (c *Calibration) Marshal() ([]byte, error) {
 	data, err := json.MarshalIndent(c, "", "  ")
@@ -289,7 +289,7 @@ func (c *Calibration) Marshal() ([]byte, error) {
 
 // formatError reports a calibration written for another estimator model.
 func formatError(name string, format int) error {
-	return fmt.Errorf("estimate: calibration %q declares format %d, this estimator expects %d (regenerate with `pathfind calibrate`)",
+	return fmt.Errorf("estimate: calibration %q declares format %d, this estimator expects %d (regenerate with `upim calibrate`)",
 		name, format, CalibrationFormat)
 }
 

@@ -154,7 +154,7 @@ func TestRefitReproducesCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fresh, disk) {
-		t.Fatalf("refit drifts from the committed artifact (%d vs %d bytes) — regenerate with `pathfind calibrate`", len(fresh), len(disk))
+		t.Fatalf("refit drifts from the committed artifact (%d vs %d bytes) — regenerate with `upim calibrate`", len(fresh), len(disk))
 	}
 	errs, err := FigureErrors(committed, obs)
 	if err != nil {

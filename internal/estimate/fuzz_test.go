@@ -31,7 +31,7 @@ func mutate(t *testing.T, old, new string) []byte {
 }
 
 // TestLoadRejects pins the strictness contract of the calibration loader: a
-// machine-generated artifact is either exactly what `pathfind calibrate`
+// machine-generated artifact is either exactly what `upim calibrate`
 // wrote or it is an error — never a best-effort parse.
 func TestLoadRejects(t *testing.T) {
 	cases := []struct {

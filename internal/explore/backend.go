@@ -9,7 +9,7 @@ import (
 // Backend is the store abstraction behind resumable explorations: the
 // content-addressed result store reduced to the five operations the explorer
 // and the coordinator actually perform. The local-dir Store is the canonical
-// implementation; HTTPStore talks to a `pathfind serve` store server. Every
+// implementation; HTTPStore talks to a `upim coordinate` store server. Every
 // implementation must preserve the store contract the conformance suite
 // (storetest) pins down:
 //

@@ -30,7 +30,7 @@ type Options struct {
 	// It is part of a point's store key, so changing it re-simulates.
 	Watchdog uint64
 	// Store persists finished points; nil disables persistence. Any Backend
-	// works: the local-dir Store, an HTTPStore talking to a `pathfind serve`
+	// works: the local-dir Store, an HTTPStore talking to a `upim coordinate`
 	// store server, or a custom implementation passing the storetest
 	// conformance suite.
 	Store Backend

@@ -18,7 +18,7 @@ import (
 )
 
 // The HTTP store protocol — the wire form of the Backend interface, served
-// by `pathfind serve` and consumed by HTTPStore. One endpoint per Backend
+// by `upim coordinate` and consumed by HTTPStore. One endpoint per Backend
 // method, keyed by the same content addresses as the local store:
 //
 //	GET    /v1/exact/{key}      200 {point,result} | 404
@@ -184,7 +184,7 @@ type HTTPStoreOptions struct {
 }
 
 // HTTPStore is the client side of the HTTP store protocol: a Backend whose
-// entries live on a `pathfind serve` store server, shared by every worker
+// entries live on a `upim coordinate` store server, shared by every worker
 // that connects to it. Every call carries a timeout and retries transient
 // failures with exponential backoff; like every backend, unrecoverable Get
 // failures degrade to misses (re-simulation) while Put failures surface.

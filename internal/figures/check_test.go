@@ -14,7 +14,7 @@ import (
 // TestCheckAgainstReference regenerates the cheapest simulated experiment
 // (fig11: five GEMV points) with default options and validates it against
 // the committed reference, then perturbs one numeric cell and requires the
-// check to fail — the end-to-end path behind `cmd/figures -check`.
+// check to fail — the end-to-end path behind `upim figures -check`.
 func TestCheckAgainstReference(t *testing.T) {
 	tab, err := Fig11(context.Background(), Options{Scale: prim.ScaleTiny})
 	if err != nil {
@@ -75,6 +75,25 @@ func TestCheckConfigTables(t *testing.T) {
 	tab.Rows[0][1] = artifact.Str("9999 MHz")
 	if Check(tab, 0.5) == nil {
 		t.Fatal("changed config text must fail the check regardless of epsilon")
+	}
+}
+
+// TestCheckLabels requires the reference's ID and Title to match the
+// regenerated table's: a relabelled experiment with unchanged cells must
+// still fail until its reference is regenerated.
+func TestCheckLabels(t *testing.T) {
+	for _, relabel := range []func(*artifact.Table){
+		func(tab *artifact.Table) { tab.ID = "Case study 3" },
+		func(tab *artifact.Table) { tab.Title += " (renamed)" },
+	} {
+		tab, err := Table1(context.Background(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		relabel(tab)
+		if err := Check(tab, 0.5); err == nil || !strings.Contains(err.Error(), "regenerate the reference") {
+			t.Errorf("relabelled table1 (%q, %q): err = %v, want a stale-reference error", tab.ID, tab.Title, err)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ var crossArchBenchmarks = []string{"GEMV", "VA"}
 // sites, scored on modeled time, energy (each architecture priced under
 // its own committed TechProfile) and hardware cost — with the
 // per-benchmark Pareto frontier marked. The experiment runs through
-// internal/explore, so its rows are the same numbers `cmd/pathfind -axes
+// internal/explore, so its rows are the same numbers `upim pathfind -axes
 // "arch=upmem,hbm-pim;dpus=1,2"` produces.
 func CrossArch(ctx context.Context, o Options) (*Table, error) {
 	s := explore.NewSpace(crossArchBenchmarks,

@@ -7,9 +7,9 @@
 //
 // Drivers return artifact.Table values: typed grids whose numeric cells keep
 // their exact values alongside the display formatting, so the same result
-// renders to the CLI, exports to CSV/JSON/Markdown (cmd/figures -out), and
-// validates against the embedded reference results (Check, cmd/figures
-// -check).
+// renders to the CLI, exports to CSV/JSON/Markdown (`upim figures -out`), and
+// validates against the embedded reference results (Check, `upim
+// figures -check`).
 package figures
 
 import (

@@ -1,10 +1,10 @@
 // Package refdata embeds the committed reference artifacts the figure suite
 // validates against: one JSON table per (experiment, scale), generated once
-// at tiny scale by `cmd/figures -exp all -scale tiny -writeref
+// at tiny scale by `upim figures -exp all -scale tiny -writeref
 // internal/figures/refdata` and checked in. Because the simulator is fully
 // deterministic, any drift between a regenerated table and its reference
 // beyond the check epsilon means a simulation change shifted a paper figure
-// — which is exactly what `cmd/figures -check` exists to catch.
+// — which is exactly what `upim figures -check` exists to catch.
 //
 // Regenerate these files only when a simulation change is *intended* to move
 // the figures, and say so in the commit.

@@ -386,7 +386,7 @@ func (s *DPU) Counters() []Counter {
 	}
 }
 
-// Summary renders a human-readable report (used by cmd/upimulator).
+// Summary renders a human-readable report (used by `upim run`).
 func (s *DPU) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycles           %d\n", s.Cycles)

@@ -16,7 +16,7 @@ import (
 // and energy records plus p50/p95/p99, throughput and SLO-attainment
 // metrics. The event loop runs in virtual time — no wall clock — so
 // serving runs are deterministic and refdata-pinnable like every other
-// artifact. See cmd/upimulator's serve subcommand for the CLI front end.
+// artifact. See `upim serve` (cmd/upim) for the CLI front end.
 
 // ServeTenant is one co-located workload: name, kernel mix, weighted-fair
 // share, SLO class/target and arrival rate.

@@ -30,7 +30,7 @@
 // anything; Exploration extracts Pareto frontiers over configurable goals —
 // time, hardware cost, energy, energy-delay product (ParseGoals) — plus
 // ranked best configs and per-point energy breakdowns as artifacts
-// (cmd/pathfind is the CLI front end).
+// (`upim pathfind` is the CLI front end).
 //
 // Energy and power come from an event-level model (EnergyOf, EnergyReport):
 // every joule is a deterministic, linear function of a run's event counters
@@ -197,14 +197,14 @@ func SuiteTable(title string, results []*Result) *ResultTable {
 }
 
 // WriteReport writes per-table CSV, JSON and Markdown files plus a linking
-// index.md into dir — the same browsable report `cmd/figures -out` emits.
+// index.md into dir — the same browsable report `upim figures -out` emits.
 func WriteReport(dir string, tables []*ResultTable) error {
 	return artifact.WriteReport(dir, tables)
 }
 
 // CompareTables checks got against a reference table cell-by-cell: string
 // cells must match exactly, numeric cells within the relative epsilon. It
-// backs `cmd/figures -check` and is exported so library users can build the
+// backs `upim figures -check` and is exported so library users can build the
 // same tolerance-based regression oracles over their own sweeps.
 func CompareTables(got, want *ResultTable, eps float64) error {
 	return artifact.Compare(got, want, eps)
@@ -214,7 +214,7 @@ func CompareTables(got, want *ResultTable, eps float64) error {
 // embedded reference results for its key and dataset scale (committed at
 // tiny scale), failing when any figure shifted beyond the relative eps
 // (<= 0 selects the default 1%). This is the regression oracle behind
-// `cmd/figures -check`.
+// `upim figures -check`.
 func CheckArtifact(tab *ResultTable, eps float64) error {
 	return figures.Check(tab, eps)
 }
